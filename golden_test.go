@@ -113,6 +113,14 @@ var catalogGoldenScenarios = []string{
 	// timestamped scale-event log.
 	"tenants-quota-burst",
 	"autoscale-diurnal",
+	// Farm catalog entries pinned as an independent reference for the
+	// farm executor: board outages with checkpointed recovery, bursty
+	// arrivals under the rebalancer, power-of-two dispatch on a diurnal
+	// curve, and a 2,000-app stream-mode horizon.
+	"chaos-farm-outage",
+	"farm-mmpp-rebalance",
+	"farm-p2c-diurnal",
+	"long-horizon-diurnal",
 }
 
 // TestGoldenCatalogScenarios pins heterogeneous catalog scenarios

@@ -213,15 +213,18 @@ func BenchmarkAblationPreemption(b *testing.B) {
 	}
 }
 
-// BenchmarkFailureInjection measures scheduling resilience to PCAP CRC
-// failures: 20%% of loads re-stream.
+// BenchmarkFailureInjection measures scheduling resilience to flaky
+// partial reconfiguration: under the pr-flaky injector 20% of PCAP
+// loads fail and re-stream after a backoff.
 func BenchmarkFailureInjection(b *testing.B) {
-	p := workload.DefaultGenParams(workload.Stress)
-	seq := workload.Generate(p, 83)
+	sc := versaslot.Scenario{
+		Policy: "versaslot-bl", Condition: "stress", Seed: 83,
+		Faults: &fault.Spec{Injectors: []fault.InjectorSpec{
+			{Kind: fault.KindPRFlaky, Rate: 0.2, MaxRetries: 3, Backoff: sim.Millisecond, BackoffFactor: 2},
+		}},
+	}
 	for i := 0; i < b.N; i++ {
-		params := sched.DefaultParams()
-		params.PRFailureRate = 0.2
-		res, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotBL, Seed: 1, Params: &params}, seq)
+		res, err := versaslot.Run(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,14 +264,15 @@ func BenchmarkFarmDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkFarmDispatchSharded prices the sharded single-run executor
-// against its sequential twin: the same least-loaded farm at fleet
-// scale, run once with shards=1 and once sharded across worker
-// goroutines. The two runs produce byte-identical summaries (pinned by
-// TestShardedMatchesSequential); only wall-clock differs. Farm
-// construction and injection run under StopTimer so the measurement
-// isolates the executor the shards parallelize; cmd/benchgate gates
-// the pairs=128 pair with a speedup floor on multi-core hosts.
+// BenchmarkFarmDispatchSharded prices parallel farm execution against
+// its width-1 twin: the same least-loaded farm at fleet scale, run once
+// with shards=1 (per-pair kernels on the calling goroutine) and once
+// across worker goroutines. Both widths use per-pair kernels, so the
+// ratio measures parallel speed-up alone. The runs produce
+// byte-identical summaries (pinned by TestShardedMatchesSequential);
+// only wall-clock differs. Farm construction and injection run under
+// StopTimer so the measurement isolates the executor; cmd/benchgate
+// gates the ratios with speed-up floors on multi-core hosts.
 func BenchmarkFarmDispatchSharded(b *testing.B) {
 	for _, pairs := range []int{128, 1024} {
 		p := workload.DefaultGenParams(workload.Stress)

@@ -26,7 +26,9 @@
 // not 10% jitter.
 //
 // On multi-core hosts the gate additionally requires the sharded farm
-// runs to beat their sequential twins: 4 shards at pairs=128 by the
+// runs to beat their width-1 twins, which already run per-pair kernels
+// (so the floors measure parallel speed-up alone): 4 shards at
+// pairs=128 by the
 // -shard-speedup factor (hosts with at least 4 CPUs), and 8 shards at
 // pairs=1024 by the -shard-speedup-wide factor (hosts with at least
 // 8 CPUs — below that the floors are skipped with a note). These are
@@ -71,7 +73,7 @@ const schema = "versaslot-bench/v1"
 // pairs, once on the homogeneous ZCU216 farm and once on the
 // mixed-platform (ZCU216/U250/PYNQ) farm that exercises capacity-aware
 // dispatch; the sharded benches pin the parallel executor against its
-// sequential twin at fleet scale (128 and 1,024 pairs); the chaos
+// width-1 twin at fleet scale (128 and 1,024 pairs); the chaos
 // bench pins the fault-injection path (fail/recover chains,
 // crash-restart teardown, PR retries) against its fault-free twin; the
 // autoscale-churn bench pins the fleet control plane (tenant
@@ -91,7 +93,7 @@ var suites = []struct {
 }
 
 // shardFloor is one sharded-speedup floor: the named parallel bench
-// must beat its sequential twin by factor on hosts with at least
+// must beat its width-1 twin by factor on hosts with at least
 // minCPU CPUs; below that a parallel win is impossible and the check
 // is skipped with a note.
 type shardFloor struct {
@@ -108,8 +110,8 @@ func main() {
 		nsTol       = flag.Float64("ns-tolerance", 4.0, "fail when ns/op exceeds baseline by this factor")
 		allocTol    = flag.Float64("allocs-tolerance", 1.25, "fail when allocs/op exceeds baseline by this factor (plus rounding slack)")
 		bytesTol    = flag.Float64("bytes-tolerance", 1.5, "fail when B/op exceeds baseline by this factor (plus rounding slack)")
-		speedup     = flag.Float64("shard-speedup", 2.0, "fail when the 4-shard pairs=128 farm run is not this much faster than sequential (skipped below 4 CPUs)")
-		speedupWide = flag.Float64("shard-speedup-wide", 3.0, "fail when the 8-shard pairs=1024 farm run is not this much faster than sequential (skipped below 8 CPUs)")
+		speedup     = flag.Float64("shard-speedup", 2.0, "fail when the 4-shard pairs=128 farm run is not this much faster than width 1 (skipped below 4 CPUs)")
+		speedupWide = flag.Float64("shard-speedup-wide", 3.0, "fail when the 8-shard pairs=1024 farm run is not this much faster than width 1 (skipped below 8 CPUs)")
 		pkg         = flag.String("pkg", ".", "package holding the benchmarks")
 	)
 	flag.Parse()
@@ -164,7 +166,7 @@ func main() {
 
 // checkShardSpeedup enforces the sharded executor's speedup floors on
 // multi-core hosts: each measured parallel farm run must beat its
-// sequential twin by the floor's factor. On hosts below a floor's CPU
+// width-1 twin by the floor's factor. On hosts below a floor's CPU
 // requirement a parallel win is impossible, so that floor is skipped
 // with a note. Unlike the baseline gate this is a property of the
 // measured run alone, and it applies in -write mode too: a baseline
@@ -192,7 +194,7 @@ func checkShardSpeedup(r Report, floors []shardFloor) []string {
 			continue
 		}
 		if got := seq.NsPerOp / par.NsPerOp; got < fl.factor {
-			failures = append(failures, fmt.Sprintf("SPEEDUP %s: x%.2f over sequential, below the x%.1f floor", fl.par, got, fl.factor))
+			failures = append(failures, fmt.Sprintf("SPEEDUP %s: x%.2f over width 1, below the x%.1f floor", fl.par, got, fl.factor))
 		}
 	}
 	return failures

@@ -70,7 +70,7 @@ func main() {
 	dispatcher := flag.String("dispatcher", "", "farm arrival dispatcher (default least-loaded), or 'list' to print the registry")
 	rebalanceEvery := flag.Duration("rebalance-every", 0, "farm rebalancer cadence in virtual time (0 disables)")
 	rebalanceGap := flag.Int("rebalance-gap", 0, "min unfinished-app gap between pairs that triggers a cross-pair migration (default 2)")
-	shards := flag.Int("shards", 0, "run a farm's pairs across this many parallel shards (0 = auto from pair count and GOMAXPROCS, 1 = sequential); results are byte-identical at any width")
+	shards := flag.Int("shards", 0, "run a farm's pairs across this many goroutines (0 or 1 = the calling goroutine only); results are byte-identical at any width")
 	tenantsJSON := flag.String("tenants", "", "inline tenant-spec JSON array (farm topology): per-tenant arrival process, quota, priority, over-quota policy, SLO")
 	autoscaleJSON := flag.String("autoscale", "", "inline autoscale-spec JSON (farm topology): {\"min\":1,\"max\":4,...}; -pairs is the initial online count")
 	faultKind := flag.String("fault", "", "attach one fault injector by kind with default parameters, or 'list' to print the registry")

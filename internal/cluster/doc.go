@@ -19,7 +19,10 @@
 // rebalancer generalizes the pair-internal live migration to
 // pair-to-pair transfers over a rack-level link.
 //
-// All boards of a farm run in one simulation kernel, so farm runs
-// keep the kernel's determinism guarantee: same configuration and
-// seed, byte-identical results.
+// Each pair of a farm runs on its own simulation kernel, and a
+// coordinator kernel holds the control plane (dispatch, rebalancing,
+// rack transfers, fault chains). The lookahead coordinator advances
+// every pair to the next control instant before it runs, so farm runs
+// keep the kernel's determinism guarantee at every shard width: same
+// configuration and seed, byte-identical results.
 package cluster

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 
 	"versaslot/internal/appmodel"
 	"versaslot/internal/interlink"
@@ -47,21 +46,16 @@ type FarmConfig struct {
 	// default of 2; a configured gap of 1 is honored but can ping-pong
 	// a single queued app between two otherwise balanced pairs.
 	RebalanceGap int
-	// Shards, when greater than one, runs the farm's pairs on that many
-	// worker goroutines: each pair advances its own event stream under
-	// conservative lookahead synchronization (shards run ahead to the
-	// next farm-control instant — arrival dispatch, rebalance tick,
-	// rack-link completion, fault strike — and only shards that can
-	// interact synchronize) so the merged result is byte-identical to
-	// the sequential run. Zero selects the shard count automatically
-	// from the online-pair count and GOMAXPROCS — sequential when the
-	// farm is too small or the host too narrow for sharding to win,
-	// never slower than sequential by construction. One forces
-	// sequential execution. Values above the pair count are clamped.
-	// An explicit Shards > 1 is incompatible with a non-zero
-	// Pair.Params.PRFailureRate, whose CRC re-stream draws would come
-	// from per-pair RNGs instead of the shared kernel stream; the
-	// automatic path quietly stays sequential there.
+	// Shards is the number of goroutines the farm's pairs run on. Every
+	// pair advances its own event stream under conservative lookahead
+	// synchronization: pairs run ahead to the next farm-control instant
+	// — arrival dispatch, rebalance tick, rack-link completion, fault
+	// strike — and only pairs with events before it do any work. Zero
+	// and one run every pair on the calling goroutine; greater than one
+	// splits the pairs over that many worker goroutines, clamped to the
+	// pair count. The result is byte-identical at every width; only
+	// wall-clock time differs, and no host measured so far runs faster
+	// above width 1.
 	Shards int
 	// Standby decommissions the last Standby pairs at construction:
 	// they are built (kernels, engines, platforms) but start in
@@ -107,38 +101,6 @@ func (s PairState) String() string {
 // setup with the default dispatcher and no rebalancing.
 func DefaultFarmConfig(n int) FarmConfig {
 	return FarmConfig{Pair: DefaultConfig(), Pairs: n}
-}
-
-// Automatic shard selection (FarmConfig.Shards == 0). The floors come
-// from the BENCH_8 scaling wall: below ~64 online pairs the whole run
-// is too short for worker wakeups to amortize (at 128 pairs, 8 shards
-// measured *slower* than sequential), and past ~32 pairs per shard the
-// extra workers only add synchronization without adding parallel work
-// (8 shards were no faster than 4 at 1,024 pairs under the barrier
-// loop). The cap keeps wide hosts from splintering the fleet into
-// slivers a single control tick can stall.
-const (
-	autoShardMinPairs      = 64
-	autoShardPairsPerShard = 32
-	autoShardMax           = 8
-)
-
-// autoShards picks the worker count for an auto-sharded farm from the
-// online-pair count and the host's GOMAXPROCS. It returns 1 —
-// sequential, the inline fallback — whenever sharding cannot win by
-// construction: a single-slot scheduler, or too few active pairs.
-func autoShards(onlinePairs, procs int) int {
-	if procs < 2 || onlinePairs < autoShardMinPairs {
-		return 1
-	}
-	s := procs
-	if s > autoShardMax {
-		s = autoShardMax
-	}
-	for s > 1 && onlinePairs/s < autoShardPairsPerShard {
-		s--
-	}
-	return s
 }
 
 func (c FarmConfig) gap() int {
@@ -198,16 +160,14 @@ type Farm struct {
 	unhealthy  int   // pairs with outages > 0
 	cost       *migrate.CostModel
 
-	// finishedBy counts completions per pair. Sharded workers write
+	// finishedBy counts completions per pair. Worker goroutines write
 	// only their own pairs' elements, so the slice is race-free without
 	// atomics; finishedCount sums it on the coordinator.
 	finishedBy []int
 
-	// pairK holds each pair's private kernel when the farm is sharded;
-	// nil on the sequential path, where every pair shares f.K. shards
-	// is the resolved worker count (auto-selected when Cfg.Shards is
-	// zero), and coord is the live lookahead coordinator while a
-	// sharded Run is in progress (TouchPair's hand-off point).
+	// pairK holds each pair's private kernel. shards is the resolved
+	// worker count, and coord is the live lookahead coordinator while
+	// Run is in progress (TouchPair's hand-off point).
 	pairK  []*sim.Kernel
 	shards int
 	coord  *shardCoord
@@ -268,22 +228,7 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = autoShards(cfg.Pairs-cfg.Standby, runtime.GOMAXPROCS(0))
-		if cfg.Pair.Params.PRFailureRate > 0 {
-			shards = 1
-		}
-	}
-	if shards > cfg.Pairs {
-		shards = cfg.Pairs
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > 1 && cfg.Pair.Params.PRFailureRate > 0 {
-		return nil, fmt.Errorf("cluster: sharded farm execution is incompatible with pr_failure_rate > 0 (CRC re-stream draws would leave the shared kernel stream)")
-	}
+	shards := min(max(cfg.Shards, 1), cfg.Pairs)
 	if cfg.Standby < 0 || cfg.Standby >= cfg.Pairs {
 		return nil, fmt.Errorf("cluster: standby count %d out of range (need 0 <= standby < %d pairs)", cfg.Standby, cfg.Pairs)
 	}
@@ -307,21 +252,16 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	}
 	f.Rack = interlink.NewDefault(f.K, "rack")
 	// Farm-control events (rack transfers, rebalance ticks, fault
-	// chains) run at PriFarmControl and arrivals at PriArrival in both
-	// execution modes, so same-instant ordering — control plane first,
-	// then pair-local events — is identical whether the pairs share f.K
-	// or advance their own kernels.
+	// chains) run at PriFarmControl and arrivals at PriArrival, so at
+	// any instant the control plane runs first, then pair-local events.
 	f.Rack.SetPriority(sim.PriFarmControl)
+	f.pairK = make([]*sim.Kernel, 0, cfg.Pairs)
 	for i := 0; i < cfg.Pairs; i++ {
-		pk := f.K
-		if shards > 1 {
-			// Each pair gets a private kernel seeded exactly like the
-			// pair config seeds the sequential build, so pair-local
-			// evolution is deterministic and independent of its
-			// neighbors between synchronization instants.
-			pk = sim.NewKernel(cfg.pairConfig(i).Seed)
-			f.pairK = append(f.pairK, pk)
-		}
+		// Each pair gets a private kernel seeded like its pair config,
+		// so pair-local evolution is deterministic and independent of
+		// its neighbors between control instants.
+		pk := sim.NewKernel(cfg.pairConfig(i).Seed)
+		f.pairK = append(f.pairK, pk)
 		pair, err := buildCluster(pk, cfg.pairConfig(i), i*2)
 		if err != nil {
 			return nil, err
@@ -374,8 +314,8 @@ func MustNewFarm(cfg FarmConfig) *Farm {
 func (f *Farm) Dispatcher() string { return f.dispatcher.Name() }
 
 // ShardCount returns the resolved worker count the farm executes with:
-// Cfg.Shards clamped to the pair count, or the automatic selection
-// when Cfg.Shards is zero. One means sequential execution.
+// Cfg.Shards clamped to [1, pairs]. One means every pair runs on the
+// calling goroutine.
 func (f *Farm) ShardCount() int { return f.shards }
 
 // Load returns a copy of the current unfinished-app count per pair
@@ -776,8 +716,8 @@ func (f *Farm) dispatchOne(a *appmodel.App) {
 	}
 	f.routed[idx]++
 	f.load[idx]++
-	// Sharded runs advance pair clocks lazily; the pair must reach the
-	// dispatch instant before the injection lands on its kernel.
+	// Pair clocks advance lazily; the pair must reach the dispatch
+	// instant before the injection lands on its kernel.
 	f.TouchPair(idx)
 	f.Pairs[idx].activeEngine().InjectNow(a)
 }
@@ -1037,11 +977,7 @@ type PairStat struct {
 
 // Run executes to completion and merges every pair's results.
 func (f *Farm) Run() Summary {
-	if f.shards > 1 {
-		f.runSharded()
-	} else {
-		f.K.Run()
-	}
+	f.execute()
 	if len(f.Pairs) > 0 && f.Pairs[0].Streaming() {
 		return f.summarizeStream()
 	}
@@ -1122,7 +1058,7 @@ func (f *Farm) Run() Summary {
 // sketch (its mean/P50 feed the PairStat), and pair sketches merge
 // into the fleet sketch for the farm-wide percentiles — the exact
 // associativity of bucket-count addition is what makes this identical
-// whether pairs ran sequentially or sharded.
+// at every shard width.
 func (f *Farm) summarizeStream() Summary {
 	s := Summary{}
 	fleet := metrics.NewSketch(metrics.GlobalSketchBits)

@@ -7,48 +7,60 @@ import (
 	"versaslot/internal/sim"
 )
 
-// Sharded farm execution: conservative lookahead synchronization.
+// Farm execution: per-pair kernels under conservative lookahead.
 //
-// The coordinator kernel f.K holds exactly the control plane: arrival
+// Every farm runs each switching pair on a private kernel. The
+// coordinator kernel f.K holds exactly the control plane: arrival
 // dispatch (PriArrival), rebalance ticks, rack-link transfers,
 // orchestrator pump/autoscale ticks and fault-injector chains
-// (PriFarmControl). Pair-local events live on the per-pair kernels,
-// and pair events never schedule onto f.K (completions only bump the
-// farm's per-pair counters), so the coordinator's event queue is never
-// extended from a worker.
+// (PriFarmControl). Pair events never schedule onto f.K (completions
+// only bump the farm's per-pair counters), so the coordinator's event
+// queue is never extended from a pair.
 //
 // The next coordinator instant T is therefore the earliest possible
-// cross-shard interaction: a control event at T may inject into any
+// interaction between pairs: a control event at T may inject into any
 // pair, strike any slot, or deliver a migration. Every pair is free to
 // run ahead to T — conservative lookahead — and a pair whose earliest
-// pending event lies at or past T needs no synchronization at all for
-// this instant. The coordinator tracks each pair's horizon (pnext) and
-// each worker's minimum over its pairs (wnext) so that an epoch costs:
+// pending event lies at or past T needs no work at all for this
+// instant. The coordinator tracks each pair's horizon (pnext) and each
+// worker's minimum over its pairs (wnext) so that an instant costs:
 //
-//   - nothing per idle shard: wnext is a plain array read, no peek of
-//     the pair kernel's heap and no clock write;
-//   - a single RunTo per event-bearing pair, issued either inline on
-//     the coordinator (one worker, at most inlinePairMax pairs — the
-//     common one-dispatch epoch) or on the owning workers;
-//   - one atomic post/acknowledge round per woken worker, with
-//     spin-then-park waiting instead of per-epoch futex round-trips.
+//   - nothing per idle worker: wnext is a plain array read, no peek of
+//     a pair kernel's heap and no clock write;
+//   - a single RunTo per event-bearing pair.
+//
+// Width. The farm's resolved shard count splits the pairs into that
+// many contiguous worker ranges. At width 1 the calling goroutine is
+// the only worker: at each instant it runs RunTo(T) on every pair whose
+// horizon lies before T, with no goroutine and no atomics. Above width
+// 1 each range is owned by a persistent worker goroutine; the
+// coordinator wakes only event-bearing workers, with one atomic
+// post/acknowledge round each and spin-then-park waiting instead of
+// per-instant futex round-trips. When one worker owns every
+// event-bearing pair of an instant and there are at most inlinePairMax
+// of them (the common one-dispatch instant), the coordinator runs them
+// itself instead of waking the worker.
 //
 // Clocks advance lazily: a pair's clock is stamped to the coordinator
 // instant only when a control event actually touches the pair
 // (Farm.TouchPair — dispatch injection, migration delivery or requeue,
-// fault strikes), not at every instant for every pair as the old
-// barrier loop did. Horizons fold back in after each drained instant:
-// touching a pair only ever adds events, so its horizon only moves
-// earlier and the per-worker minimum updates in O(1).
+// fault strikes), not at every instant for every pair. Horizons fold
+// back in after each drained instant: touching a pair only ever adds
+// events, so its horizon only moves earlier and the per-worker minimum
+// updates in O(1).
 //
 // Determinism: control events at T execute on f.K in (time, priority,
-// sequence) order exactly as sequentially; every pair event strictly
-// before T has executed by then (workers with wnext < T are woken and
-// awaited first); pair events at exactly T run under the next bound,
-// which matches the sequential order because control priorities sort
-// ahead of same-instant pair events. The merged run is byte-identical
-// to the sequential one — enforced by TestShardedMatchesSequential and
-// the orchestrated matrix under -race.
+// sequence) order; every pair event strictly before T has executed by
+// then; pair events at exactly T run under the next bound, after the
+// control events, because control priorities sort ahead of
+// same-instant pair events. Pairs share no state between control
+// instants, so the run is byte-identical at every width — enforced by
+// the golden Results (captured on a single shared kernel), by
+// TestShardedMatchesSequential and by the orchestrated matrix under
+// -race. Only the host-side interleaving differs: pair events between
+// two control instants run grouped per pair, not in global time order,
+// so per-event trace lines and observer callbacks arrive in that
+// grouped order.
 
 // Command sentinels posted in place of a run-ahead bound; event times
 // are never negative.
@@ -65,17 +77,20 @@ const (
 // unparks it.
 const spinBudget = 128
 
-// inlinePairMax bounds the coordinator's inline path: when one worker
-// owns every event-bearing pair of an epoch and there are at most this
-// many, the coordinator runs them itself instead of waking the worker.
+// inlinePairMax bounds the coordinator's inline path above width 1:
+// when one worker owns every event-bearing pair of an instant and there
+// are at most this many, the coordinator runs them itself instead of
+// waking the worker.
 const inlinePairMax = 2
 
-// shardWorker is one persistent worker goroutine owning the contiguous
-// pair range [lo, hi). The coordinator posts commands by storing bound
-// and bumping epoch; the worker acknowledges by storing the epoch into
-// done after executing. At most one command is ever outstanding, and
-// the atomics carry the happens-before edges that make the shared
-// pnext array and the pair kernels safe to hand back and forth.
+// shardWorker is one contiguous pair range [lo, hi). Above width 1 a
+// persistent goroutine owns it: the coordinator posts commands by
+// storing bound and bumping epoch; the worker acknowledges by storing
+// the epoch into done after executing. At most one command is ever
+// outstanding, and the atomics carry the happens-before edges that make
+// the shared pnext array and the pair kernels safe to hand back and
+// forth. At width 1 the single range is run by the coordinator itself
+// and the command fields stay unused.
 type shardWorker struct {
 	lo, hi int
 
@@ -91,17 +106,18 @@ type shardWorker struct {
 	next sim.Time
 }
 
-// shardCoord drives one sharded run. All scratch is preallocated: a
-// warm epoch with no cross-shard events allocates nothing (enforced by
+// shardCoord drives one farm run. All scratch is preallocated: a warm
+// instant with no cross-pair events allocates nothing (enforced by
 // TestShardEpochZeroAlloc).
 type shardCoord struct {
 	f       *Farm
 	workers []*shardWorker
+	solo    bool       // width 1: no goroutines, the coordinator runs every pair
 	shardOf []int32    // pair -> owning worker
 	pnext   []sim.Time // per-pair horizon (MaxTime = no pending events)
 	wnext   []sim.Time // per-worker min horizon, coordinator's copy
 
-	need        []int   // scratch: workers to wake this epoch
+	need        []int   // scratch: workers to wake this instant
 	inline      []int   // scratch: pair indices for the inline path
 	touched     []int32 // pairs control events touched this instant
 	touchedMark []bool
@@ -113,6 +129,7 @@ func (f *Farm) newShardCoord() *shardCoord {
 	c := &shardCoord{
 		f:           f,
 		workers:     make([]*shardWorker, nw),
+		solo:        nw == 1,
 		shardOf:     make([]int32, n),
 		pnext:       make([]sim.Time, n),
 		wnext:       make([]sim.Time, nw),
@@ -142,7 +159,9 @@ func (f *Farm) newShardCoord() *shardCoord {
 		}
 		c.wnext[w] = min
 		c.workers[w] = sw
-		go c.worker(sw)
+		if !c.solo {
+			go c.worker(sw)
+		}
 	}
 	f.coord = c
 	return c
@@ -170,12 +189,9 @@ func (c *shardCoord) wait(w *shardWorker) {
 	}
 }
 
-// worker is the persistent per-shard loop: spin for the next command,
-// park when none comes, execute, acknowledge. Only pairs whose horizon
-// lies before the bound are visited — the pnext array makes skipping
-// an idle pair a single load instead of a heap peek.
+// worker is the persistent per-shard loop above width 1: spin for the
+// next command, park when none comes, execute, acknowledge.
 func (c *shardCoord) worker(w *shardWorker) {
-	ks := c.f.pairK
 	last := uint64(0)
 	for {
 		for w.epoch.Load() == last {
@@ -199,39 +215,49 @@ func (c *shardCoord) worker(w *shardWorker) {
 		}
 		last = w.epoch.Load()
 		b := sim.Time(w.bound.Load())
-		switch b {
-		case stopCmd:
+		if b == stopCmd {
 			w.done.Store(last)
 			return
-		case drainCmd:
-			for i := w.lo; i < w.hi; i++ {
-				ks[i].Run()
-				c.pnext[i] = sim.MaxTime
-			}
-			w.next = sim.MaxTime
-		default:
-			min := sim.MaxTime
-			for i := w.lo; i < w.hi; i++ {
-				nx := c.pnext[i]
-				if nx < b {
-					nx = ks[i].RunTo(b)
-					c.pnext[i] = nx
-				}
-				if nx < min {
-					min = nx
-				}
-			}
-			w.next = min
 		}
+		c.advance(w, b)
 		w.done.Store(last)
 	}
 }
 
+// advance runs worker w's pairs — on drainCmd every pending event, else
+// each pair whose horizon lies before bound b up to it — and publishes
+// the new minimum horizon in w.next. The pnext array makes skipping an
+// idle pair a single load instead of a heap peek.
+func (c *shardCoord) advance(w *shardWorker, b sim.Time) {
+	ks := c.f.pairK
+	if b == drainCmd {
+		for i := w.lo; i < w.hi; i++ {
+			ks[i].Run()
+			c.pnext[i] = sim.MaxTime
+		}
+		w.next = sim.MaxTime
+		return
+	}
+	min := sim.MaxTime
+	for i := w.lo; i < w.hi; i++ {
+		nx := c.pnext[i]
+		if nx < b {
+			nx = ks[i].RunTo(b)
+			c.pnext[i] = nx
+		}
+		if nx < min {
+			min = nx
+		}
+	}
+	w.next = min
+}
+
 // tryInline runs a single worker's event-bearing pairs on the
 // coordinator goroutine when there are at most inlinePairMax of them —
-// the dominant epoch shape (one dispatched arrival wakes one pair).
-// The worker stays parked; its published horizon is recomputed here.
-// Returns false (having run nothing) when the epoch is too busy.
+// the dominant instant shape above width 1 (one dispatched arrival
+// wakes one pair). The worker stays parked; its published horizon is
+// recomputed here. Returns false (having run nothing) when the instant
+// is too busy.
 func (c *shardCoord) tryInline(wIdx int, t sim.Time) bool {
 	w := c.workers[wIdx]
 	c.inline = c.inline[:0]
@@ -256,10 +282,10 @@ func (c *shardCoord) tryInline(wIdx int, t sim.Time) bool {
 	return true
 }
 
-// step executes one coordinator instant: grant every shard the
-// lookahead bound T = next control time (waking only the workers whose
-// horizon lies before it), drain every control event at exactly T,
-// then fold the pairs those events touched back into the horizons.
+// step executes one coordinator instant: grant every worker the
+// lookahead bound T = next control time (running only the workers
+// whose horizon lies before it), drain every control event at exactly
+// T, then fold the pairs those events touched back into the horizons.
 // Returns false once the control queue is empty.
 func (c *shardCoord) step() bool {
 	f := c.f
@@ -273,7 +299,14 @@ func (c *shardCoord) step() bool {
 			c.need = append(c.need, w)
 		}
 	}
-	if !(len(c.need) == 0 || (len(c.need) == 1 && c.tryInline(c.need[0], t))) {
+	switch {
+	case len(c.need) == 0:
+	case c.solo:
+		w := c.workers[0]
+		c.advance(w, t)
+		c.wnext[0] = w.next
+	case len(c.need) == 1 && c.tryInline(c.need[0], t):
+	default:
 		for _, w := range c.need {
 			c.post(c.workers[w], t)
 		}
@@ -305,17 +338,21 @@ func (c *shardCoord) step() bool {
 	return true
 }
 
-// finish runs every pair kernel dry in parallel once the control queue
-// has emptied, then advances all clocks to the global end time so
-// residency and availability integrals flush against the same horizon
-// a shared kernel would have had, and shuts the workers down.
+// finish runs every pair kernel dry once the control queue has emptied
+// (in parallel above width 1), then advances all clocks to the global
+// end time so residency and availability integrals flush against one
+// common horizon, and shuts the workers down.
 func (c *shardCoord) finish() {
 	f := c.f
-	for _, w := range c.workers {
-		c.post(w, drainCmd)
-	}
-	for _, w := range c.workers {
-		c.wait(w)
+	if c.solo {
+		c.advance(c.workers[0], drainCmd)
+	} else {
+		for _, w := range c.workers {
+			c.post(w, drainCmd)
+		}
+		for _, w := range c.workers {
+			c.wait(w)
+		}
 	}
 	endT := f.K.Now()
 	for _, k := range f.pairK {
@@ -327,17 +364,17 @@ func (c *shardCoord) finish() {
 	for _, k := range f.pairK {
 		k.AdvanceTo(endT)
 	}
-	for _, w := range c.workers {
-		c.post(w, stopCmd)
+	if !c.solo {
+		for _, w := range c.workers {
+			c.post(w, stopCmd)
+		}
 	}
 	f.coord = nil
 }
 
-// runSharded executes the farm with one persistent goroutine per
-// shard, synchronized by conservative lookahead (see the package
-// comment at the top of this file). The merged run is byte-identical
-// to the sequential one.
-func (f *Farm) runSharded() {
+// execute runs the farm to completion under the lookahead coordinator
+// (see the comment at the top of this file).
+func (f *Farm) execute() {
 	c := f.newShardCoord()
 	for c.step() {
 	}
@@ -350,8 +387,8 @@ func (f *Farm) runSharded() {
 // into a pair — dispatch injection, migration delivery or requeue,
 // fault strikes — must touch the pair first: the pair's clock lags at
 // its last executed event until then, and an injection against the
-// stale clock would land in the pair's past. No-op on the sequential
-// path, where every pair shares the coordinator kernel.
+// stale clock would land in the pair's past. No-op outside Run, where
+// every pair clock already equals the coordinator's.
 func (f *Farm) TouchPair(i int) {
 	c := f.coord
 	if c == nil {

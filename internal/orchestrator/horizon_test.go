@@ -35,10 +35,34 @@ func TestTickHorizonAutoscale(t *testing.T) {
 	}
 }
 
-// TestTickHorizonTracksAdmissionPump drives a quota-throttled run one
-// kernel step at a time: whenever the admission pump (or an autoscale
-// tick) is pending, the reported horizon must be visible on the
-// coordinator kernel at or before that instant.
+// pumpProbe is a coordinator-kernel tracer: before every control event
+// it checks that an armed admission pump (or autoscale tick) is visible
+// on the coordinator kernel at or before the reported horizon.
+type pumpProbe struct {
+	t   *testing.T
+	f   *cluster.Farm
+	o   *orchestrator.Orchestrator
+	saw bool
+}
+
+func (p *pumpProbe) Event(sim.Time) {
+	horizon, armed := p.o.TickHorizon()
+	if !armed {
+		return
+	}
+	p.saw = true
+	if now := p.f.K.Now(); horizon < now {
+		p.t.Fatalf("horizon %v behind the clock %v", horizon, now)
+	}
+	if next, ok := p.f.K.NextAt(); !ok || next > horizon {
+		p.t.Fatalf("pump tick at %v invisible to the coordinator (next event %v, pending=%v)", horizon, next, ok)
+	}
+}
+
+// TestTickHorizonTracksAdmissionPump runs a quota-throttled farm with a
+// probe on the coordinator kernel: whenever the admission pump (or an
+// autoscale tick) is pending, the reported horizon must be visible on
+// the coordinator kernel at or before that instant.
 func TestTickHorizonTracksAdmissionPump(t *testing.T) {
 	f := cluster.MustNewFarm(cluster.DefaultFarmConfig(2))
 	o := mustOrchestrate(t, f, orchestrator.Config{
@@ -49,21 +73,12 @@ func TestTickHorizonTracksAdmissionPump(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Start()
-	sawPump := false
-	for f.K.Step() {
-		horizon, armed := o.TickHorizon()
-		if !armed {
-			continue
-		}
-		sawPump = true
-		if horizon < f.K.Now() {
-			t.Fatalf("horizon %v behind the clock %v", horizon, f.K.Now())
-		}
-		if next, ok := f.K.NextAt(); !ok || next > horizon {
-			t.Fatalf("pump tick at %v invisible to the coordinator (next event %v, pending=%v)", horizon, next, ok)
-		}
+	probe := &pumpProbe{t: t, f: f, o: o}
+	f.K.SetTracer(probe)
+	if sum := f.Run(); sum.Apps != 8 {
+		t.Errorf("%d of 8 apps finished", sum.Apps)
 	}
-	if !sawPump {
+	if !probe.saw {
 		t.Error("quota-1 tenant with 8 apps never armed the admission pump")
 	}
 }

@@ -114,7 +114,7 @@ func TestSingleCorePRBlocksLaunch(t *testing.T) {
 		// infer the delay from PCAP wait statistics instead: use the
 		// scheduler core stats.
 		stats := r.engine.Cores.Sched.Stats()
-		delays[model] = stats.WaitByName["launch"]
+		delays[model] = stats.LaunchWait
 	}
 	if delays[hypervisor.SingleCore] <= delays[hypervisor.DualCore] {
 		t.Fatalf("single-core launch wait (%v) not above dual-core (%v)",

@@ -11,15 +11,18 @@ import (
 	"versaslot/internal/workload"
 )
 
-// runWithFailureRate executes a small workload under the given PR CRC
-// failure rate and returns the engine.
+// prFlakyRetries is the retry bound of the flaky-PR model the tests
+// install (the pr-flaky injector's default).
+const prFlakyRetries = 3
+
+// runWithFailureRate executes a small workload under the flaky-PR
+// model (the pr-flaky injector's bounded retry with backoff) at the
+// given per-attempt failure rate and returns the engine.
 func runWithFailureRate(t *testing.T, rate float64, kind Kind) *Engine {
 	t.Helper()
 	k := sim.NewKernel(7)
 	repo := bitstream.NewRepository()
 	bitstream.NewGenerator().GenerateAll(repo, workload.Suite())
-	params := DefaultParams()
-	params.PRFailureRate = rate
 	cfg := fabric.ZCU216OnlyLittle
 	model := hypervisor.SingleCore
 	if kind == KindVersaSlotBL {
@@ -28,8 +31,9 @@ func runWithFailureRate(t *testing.T, rate float64, kind Kind) *Engine {
 	if kind == KindVersaSlotOL {
 		model = hypervisor.DualCore
 	}
-	e := NewEngine(k, params, fabric.NewBoard(0, fabric.MustPlatform(cfg)), model, repo)
+	e := NewEngine(k, DefaultParams(), fabric.NewBoard(0, fabric.MustPlatform(cfg)), model, repo)
 	e.SetPolicy(New(kind))
+	e.SetPRFault(rate, prFlakyRetries, sim.Millisecond, 2, sim.NewRNG(11))
 	apps := []*appmodel.App{
 		appmodel.NewApp(0, workload.IC, 8, 0),
 		appmodel.NewApp(1, workload.OF, 8, sim.Time(50*sim.Millisecond)),
@@ -45,7 +49,7 @@ func TestPRFailureInjectionRetriesAndCompletes(t *testing.T) {
 	for _, kind := range []Kind{KindNimblock, KindVersaSlotOL, KindVersaSlotBL} {
 		e := runWithFailureRate(t, 0.4, kind)
 		if e.Col.PRRetries == 0 {
-			t.Errorf("%v: 40%% CRC failure rate produced no retries", kind)
+			t.Errorf("%v: 40%% PR failure rate produced no retries", kind)
 		}
 		if len(e.Col.Responses) != 3 {
 			t.Errorf("%v: %d of 3 apps finished under failure injection", kind, len(e.Col.Responses))
@@ -69,15 +73,20 @@ func TestFailureInjectionSlowsResponse(t *testing.T) {
 		faultySum += faulty.Col.Responses[i].Response
 	}
 	if faultySum <= cleanSum {
-		t.Fatalf("CRC retries did not slow the run: %v vs %v", faultySum, cleanSum)
+		t.Fatalf("PR retries did not slow the run: %v vs %v", faultySum, cleanSum)
 	}
 }
 
 func TestFailureRateCapKeepsRetriesFinite(t *testing.T) {
-	// A rate above the cap must still terminate.
-	e := runWithFailureRate(t, 0.99, KindVersaSlotBL)
+	// At a high failure rate every load still retries at most
+	// prFlakyRetries times; exhausted loads crash-restart their app,
+	// and the run still completes.
+	e := runWithFailureRate(t, 0.7, KindVersaSlotBL)
 	if len(e.Col.Responses) != 3 {
-		t.Fatal("run with capped failure rate did not complete")
+		t.Fatal("run under a 70% PR failure rate did not complete")
+	}
+	if max := prFlakyRetries * e.Col.PRLoads; e.Col.PRRetries == 0 || e.Col.PRRetries > max {
+		t.Fatalf("%d retries over %d loads, want 1..%d", e.Col.PRRetries, e.Col.PRLoads, max)
 	}
 }
 

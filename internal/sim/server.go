@@ -12,7 +12,8 @@ type Job struct {
 	Start func(wait Duration)
 	// Done runs at completion. May be nil.
 	Done func()
-	// Class tags the job for statistics (e.g. "pr", "launch", "sched").
+	// Class tags the job for queue-depth queries and statistics (e.g.
+	// "pr", ClassLaunch, "sched").
 	Class string
 
 	enqueuedAt Time
@@ -29,14 +30,17 @@ type Job struct {
 // currently in service has no effect (hardware can't abort a PCAP load).
 func (j *Job) Cancel() { j.canceled = true }
 
+// ClassLaunch is the job class of batch-item launches on a scheduler
+// core; ServerStats.LaunchWait totals their queueing wait.
+const ClassLaunch = "launch"
+
 // ServerStats aggregates what a Server has processed.
 type ServerStats struct {
-	Completed  uint64            // jobs finished
-	BusyTime   Duration          // total time in service
-	WaitTime   Duration          // total time jobs spent queued
-	Waited     uint64            // jobs that had to queue (wait > 0)
-	ByClass    map[string]uint64 // completions per class
-	WaitByName map[string]Duration
+	Completed  uint64   // jobs finished
+	BusyTime   Duration // total time in service
+	WaitTime   Duration // total time jobs spent queued
+	Waited     uint64   // jobs that had to queue (wait > 0)
+	LaunchWait Duration // queueing wait of ClassLaunch jobs
 }
 
 // Server is a non-preemptive FIFO single server in virtual time: CPU
@@ -64,14 +68,7 @@ type Server struct {
 
 // NewServer returns an idle server attached to kernel k.
 func NewServer(k *Kernel, name string) *Server {
-	s := &Server{
-		k:    k,
-		name: name,
-		stats: ServerStats{
-			ByClass:    make(map[string]uint64),
-			WaitByName: make(map[string]Duration),
-		},
-	}
+	s := &Server{k: k, name: name}
 	s.finishFn = func() { s.finish(s.cur) }
 	return s
 }
@@ -117,19 +114,8 @@ func (s *Server) PendingByClass(class string) int {
 // Current returns the job in service, or nil when idle.
 func (s *Server) Current() *Job { return s.cur }
 
-// Stats returns a copy of the server's accumulated statistics.
-func (s *Server) Stats() ServerStats {
-	out := s.stats
-	out.ByClass = make(map[string]uint64, len(s.stats.ByClass))
-	for k, v := range s.stats.ByClass {
-		out.ByClass[k] = v
-	}
-	out.WaitByName = make(map[string]Duration, len(s.stats.WaitByName))
-	for k, v := range s.stats.WaitByName {
-		out.WaitByName[k] = v
-	}
-	return out
-}
+// Stats returns the server's accumulated statistics.
+func (s *Server) Stats() ServerStats { return s.stats }
 
 // Submit enqueues the job; it starts immediately if the server is idle.
 func (s *Server) Submit(j *Job) {
@@ -188,7 +174,9 @@ func (s *Server) start(j *Job) {
 	if wait > 0 {
 		s.stats.WaitTime += wait
 		s.stats.Waited++
-		s.stats.WaitByName[j.Class] += wait
+		if j.Class == ClassLaunch {
+			s.stats.LaunchWait += wait
+		}
 	}
 	if j.Start != nil {
 		j.Start(wait)
@@ -199,7 +187,6 @@ func (s *Server) start(j *Job) {
 func (s *Server) finish(j *Job) {
 	s.stats.Completed++
 	s.stats.BusyTime += j.Cost
-	s.stats.ByClass[j.Class]++
 	s.cur = nil
 	s.busy = false
 	done := j.Done

@@ -53,8 +53,8 @@ func TestServerWaitAccounting(t *testing.T) {
 	if st.BusyTime != 60*Millisecond {
 		t.Fatalf("busy time %v", st.BusyTime)
 	}
-	if st.ByClass["pr"] != 3 {
-		t.Fatalf("class accounting %v", st.ByClass)
+	if st.LaunchWait != 0 {
+		t.Fatalf("launch wait %v from pr-class jobs, want 0", st.LaunchWait)
 	}
 }
 
@@ -96,19 +96,23 @@ func TestServerQueueLenAndPendingByClass(t *testing.T) {
 	s := NewServer(k, "core")
 	s.SubmitFunc("running", "pr", 10*Millisecond, nil)
 	s.SubmitFunc("q1", "pr", 10*Millisecond, nil)
-	s.SubmitFunc("q2", "launch", 10*Millisecond, nil)
+	s.SubmitFunc("q2", ClassLaunch, 10*Millisecond, nil)
 	if s.QueueLen() != 2 {
 		t.Fatalf("queue len %d, want 2", s.QueueLen())
 	}
 	if got := s.PendingByClass("pr"); got != 2 {
 		t.Fatalf("pending pr %d, want 2 (one running, one queued)", got)
 	}
-	if got := s.PendingByClass("launch"); got != 1 {
+	if got := s.PendingByClass(ClassLaunch); got != 1 {
 		t.Fatalf("pending launch %d, want 1", got)
 	}
 	k.Run()
 	if s.PendingByClass("pr") != 0 {
 		t.Fatal("pending after drain")
+	}
+	// Only the launch job's 20ms queueing wait counts as launch wait.
+	if got := s.Stats().LaunchWait; got != 20*Millisecond {
+		t.Fatalf("launch wait %v, want 20ms", got)
 	}
 }
 

@@ -185,7 +185,7 @@ func (r *Result) fillFromEngines(engines []*sched.Engine) {
 		hits, misses := e.Cache.Stats()
 		r.CacheHits += hits
 		r.CacheMisses += misses
-		r.LaunchWait += e.Cores.Sched.Stats().WaitByName["launch"]
+		r.LaunchWait += e.Cores.Sched.Stats().LaunchWait
 	}
 	sort.Slice(pooled, func(i, j int) bool { return pooled[i].AppID < pooled[j].AppID })
 	r.Samples = pooled
@@ -267,7 +267,7 @@ func (r *Result) fillFromStream(engines []*sched.Engine) {
 		hits, misses := e.Cache.Stats()
 		r.CacheHits += hits
 		r.CacheMisses += misses
-		r.LaunchWait += e.Cores.Sched.Stats().WaitByName["launch"]
+		r.LaunchWait += e.Cores.Sched.Stats().LaunchWait
 	}
 	s := agg.Summarize()
 	r.Summary.Apps = s.Apps

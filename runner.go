@@ -58,20 +58,27 @@ type Runner struct {
 type Option func(*Runner)
 
 // WithTrace streams one formatted line per engine event (PR
-// start/completion, item launch/completion, app lifecycle) to fn.
+// start/completion, item launch/completion, app lifecycle) to fn. On a
+// farm, lines of pair events between two farm-control instants arrive
+// grouped per pair, not in global time order.
 func WithTrace(fn func(format string, args ...any)) Option {
 	return func(r *Runner) { r.traceFn = fn }
 }
 
 // WithRecorder attaches a typed event recorder for timeline rendering
 // and post-hoc analysis. Recorders are not attached during RunMany
-// (concurrent runs would interleave their events).
+// (concurrent runs would interleave their events). A farm records pair
+// events grouped per pair between control instants; Events sorts them
+// back into time order, but same-instant events of different pairs
+// keep the grouped order.
 func WithRecorder(rec *trace.Recorder) Option {
 	return func(r *Runner) { r.recorder = rec }
 }
 
 // WithObserver streams per-event callbacks (arrivals, completions,
-// cross-board switches) while scenarios run.
+// cross-board switches) while scenarios run. On a farm, callbacks of
+// pair events between two farm-control instants arrive grouped per
+// pair, not in global time order.
 func WithObserver(fn Observer) Option {
 	return func(r *Runner) { r.observer = fn }
 }
@@ -275,7 +282,7 @@ func (r *Runner) runSingle(s Scenario, seq *workload.Sequence, parallel bool) (*
 		BySpec:      res.BySpec,
 		CacheHits:   res.CacheHits,
 		CacheMisses: res.CacheMisses,
-		LaunchWait:  sys.Engine.Cores.Sched.Stats().WaitByName["launch"],
+		LaunchWait:  sys.Engine.Cores.Sched.Stats().LaunchWait,
 	}
 	for _, sample := range res.Samples {
 		if sample.Finish > out.Makespan {
@@ -361,11 +368,13 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 	}
 	var engines []*sched.Engine
 	var pairPlatforms []cluster.PairPlatforms
-	// Sharded runs advance pairs on worker goroutines: the single-writer
-	// trace/recorder sinks are disabled exactly as in parallel sweeps
-	// (observers stay attached — they serialize behind a mutex). The
-	// farm's resolved count decides, not s.Shards: zero auto-selects
-	// from the fleet size and GOMAXPROCS.
+	// Above width 1 pairs advance on worker goroutines: the
+	// single-writer trace/recorder sinks are disabled exactly as in
+	// parallel sweeps (observers stay attached — they serialize behind a
+	// mutex). At width 1 every sink stays attached, but pair events
+	// between two control instants run grouped per pair, so trace lines
+	// and observer callbacks arrive in that order, not in global time
+	// order (Recorder.Events still sorts by time).
 	diagParallel := parallel || f.ShardCount() > 1
 	streamCfg, streaming := s.streamConfig()
 	for _, pair := range f.Pairs {
@@ -415,9 +424,9 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 		Farm:      f,
 		Quiescent: f.Quiescent,
 		// Fault chains are part of the farm's control plane: at their
-		// priority they land between the same pair events in sharded
-		// and sequential runs, and every strike stamps its pair's
-		// lazily-advanced clock first.
+		// priority they land between the same pair events at every
+		// width, and every strike stamps its pair's lazily-advanced
+		// clock first.
 		Pri:   sim.PriFarmControl,
 		Touch: f.TouchPair,
 	}); err != nil {

@@ -111,18 +111,15 @@ type Scenario struct {
 	// Zero means the default of 2; a gap of 1 is honored but can
 	// ping-pong a single queued app (farm only).
 	RebalanceGap int `json:"rebalance_gap,omitempty"`
-	// Shards controls the farm's sharded executor. Greater than one
-	// runs the pairs on that many persistent worker goroutines under
-	// conservative lookahead: each pair advances its own event stream up
-	// to the next farm-control instant, workers synchronize only when a
-	// control event can actually reach their pairs, and results are
-	// byte-identical to the sequential run at any width. One forces the
-	// sequential executor. Zero (the default) picks automatically from
-	// the online pair count and GOMAXPROCS — small farms and single-CPU
-	// hosts resolve to sequential. Farm topology only; traces and event
-	// recording are disabled like in parallel sweeps. An explicit count
-	// above one is incompatible with a non-zero params.pr_failure_rate
-	// (auto quietly falls back to sequential instead).
+	// Shards is the number of goroutines the farm's pairs run on. Every
+	// pair advances its own event stream under conservative lookahead
+	// up to the next farm-control instant, and results are
+	// byte-identical at every width. Zero (the default) and one run
+	// every pair on the calling goroutine; greater than one spreads the
+	// pairs over that many persistent worker goroutines, which
+	// synchronize only when a control event can reach their pairs, and
+	// disables traces and event recording like parallel sweeps do. Farm
+	// topology only.
 	Shards int `json:"shards,omitempty"`
 	// ThresholdUp/ThresholdDown override the Schmitt-trigger levels
 	// (cluster/farm; zero means the paper's defaults).
@@ -340,9 +337,6 @@ func (s Scenario) Validate() error {
 	}
 	if s.Shards < 0 {
 		return fmt.Errorf("versaslot: negative shard count %d", s.Shards)
-	}
-	if s.Shards > 1 && s.Params != nil && s.Params.PRFailureRate > 0 {
-		return fmt.Errorf("versaslot: sharded farm execution is incompatible with pr_failure_rate > 0 (CRC re-stream draws would leave the shared kernel stream)")
 	}
 	if s.Dispatcher != "" {
 		if _, ok := cluster.LookupDispatcher(s.Dispatcher); !ok {

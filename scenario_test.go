@@ -69,7 +69,7 @@ func TestScenarioFarmFieldsRoundTrip(t *testing.T) {
 
 func TestScenarioParamsRoundTrip(t *testing.T) {
 	params := sched.DefaultParams()
-	params.PRFailureRate = 0.01
+	params.CacheEntries = 16
 	params.HostControl = true
 	orig := versaslot.Scenario{Policy: "fcfs", Params: &params}
 	var buf bytes.Buffer

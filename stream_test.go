@@ -54,8 +54,8 @@ func TestStreamRunManyDeterministic(t *testing.T) {
 }
 
 // TestStreamFarmShardedDeterministic pins the sketch-merge guarantee
-// at fleet scale: a stream-mode farm produces byte-identical results
-// sequentially and under the sharded executor (run with -race in CI).
+// at fleet scale: a stream-mode farm produces byte-identical results at
+// width 1 and across worker goroutines (run with -race in CI).
 func TestStreamFarmShardedDeterministic(t *testing.T) {
 	base := Scenario{
 		Name:           "stream-farm",

@@ -61,8 +61,8 @@ func orchestratedScenarios() []versaslot.Scenario {
 
 // TestOrchestratedDeterminismMatrix: every orchestrated scenario must
 // produce byte-identical results across the three execution modes —
-// sequential, sharded (worker kernels with barrier synchronization),
-// and a RunMany worker pool. Admission, throttle releases, and every
+// width 1, sharded across worker goroutines, and a RunMany worker
+// pool. Admission, throttle releases, and every
 // autoscale action ride the farm-control priority, so no mode may
 // reorder them.
 func TestOrchestratedDeterminismMatrix(t *testing.T) {

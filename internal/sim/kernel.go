@@ -270,31 +270,13 @@ func (k *Kernel) RunUntil(t Time) Time {
 	return k.now
 }
 
-// RunBefore executes every event with a timestamp strictly before t and
-// returns the number executed. Events at exactly t stay queued — the
-// sharded farm executor uses this to advance board-local streams up to
-// (but not through) the next global coordination instant, whose events
-// carry lower priorities and must run first.
-func (k *Kernel) RunBefore(t Time) int {
-	n := 0
-	for {
-		at, ok := k.peek()
-		if !ok || at >= t {
-			return n
-		}
-		k.Step()
-		n++
-	}
-}
-
 // RunTo executes every event strictly before bound and returns the
 // firing time of the earliest remaining event (MaxTime when the queue
-// is empty). It is the conservative-lookahead primitive of sharded
-// farm execution: a shard granted the bound runs ahead to it in one
-// call, and the returned horizon tells the coordinator the earliest
-// instant the kernel could next act — no further synchronization with
-// this shard is needed until a cross-shard event at or past that
-// horizon arrives.
+// is empty). It is the conservative-lookahead primitive of farm
+// execution: a pair granted the bound runs ahead to it in one call,
+// and the returned horizon tells the coordinator the earliest instant
+// the kernel could next act — the pair needs no further work until a
+// control event at or past that horizon arrives.
 func (k *Kernel) RunTo(bound Time) Time {
 	for {
 		at, ok := k.peek()

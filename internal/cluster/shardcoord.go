@@ -352,6 +352,7 @@ func (c *shardCoord) finish() {
 		}
 		for _, w := range c.workers {
 			c.wait(w)
+			c.post(w, stopCmd) // touches no pair: the kernels are ours again
 		}
 	}
 	endT := f.K.Now()
@@ -363,11 +364,6 @@ func (c *shardCoord) finish() {
 	f.K.AdvanceTo(endT)
 	for _, k := range f.pairK {
 		k.AdvanceTo(endT)
-	}
-	if !c.solo {
-		for _, w := range c.workers {
-			c.post(w, stopCmd)
-		}
 	}
 	f.coord = nil
 }

@@ -31,19 +31,18 @@ type Target struct {
 
 	// Pri is the event priority of the injector timer chains. The farm
 	// runner sets sim.PriFarmControl so fault strikes sort with the
-	// rest of the control plane (and thus land identically in sharded
-	// and sequential runs); single-board and cluster topologies leave
-	// it zero.
+	// rest of the control plane (and thus land identically at every
+	// shard width); single-board and cluster topologies leave it zero.
 	Pri int32
 
 	// Touch, when set, stamps a pair's clock to the current control
-	// instant before an injector acts on its engines. Sharded farms
-	// advance pair clocks lazily under conservative lookahead, so every
-	// fault strike and recovery must touch its pair first — a slot
-	// failure scheduled against a stale pair clock would land in the
-	// pair's past. The farm runner sets it to Farm.TouchPair; it is a
-	// no-op on sequential runs and nil for single-board and cluster
-	// topologies, whose engines share the injector kernel.
+	// instant before an injector acts on its engines. Farms advance
+	// pair clocks lazily under conservative lookahead, so every fault
+	// strike and recovery must touch its pair first — a slot failure
+	// scheduled against a stale pair clock would land in the pair's
+	// past. The farm runner sets it to Farm.TouchPair; it is nil for
+	// single-board and cluster topologies, whose engines share the
+	// injector kernel.
 	Touch func(pair int)
 }
 

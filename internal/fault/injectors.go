@@ -148,7 +148,7 @@ type slotFail struct {
 func (inj *slotFail) Attach(t *Target, r *sim.RNG) {
 	// boards() iterates engines in attachment order, so the fork
 	// sequence is identical to iterating t.Engines — it additionally
-	// carries each engine's pair index for the sharded-clock touch.
+	// carries each engine's pair index for the lazy pair-clock touch.
 	for _, b := range t.boards() {
 		for _, s := range b.engine.Board.Slots {
 			// One forked stream per slot: slot 3's chain is independent

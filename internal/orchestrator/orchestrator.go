@@ -388,11 +388,11 @@ func (o *Orchestrator) armPump() {
 // TickHorizon returns the earliest control tick the orchestrator has
 // pending on the coordinator kernel — the admission pump or the
 // autoscaler's next evaluation — and false when neither is armed. The
-// sharded executor's conservative-lookahead bound is the coordinator
+// farm executor's conservative-lookahead bound is the coordinator
 // kernel's next event time; this accessor exposes the orchestrator's
 // share of that horizon, so tests and diagnostics can verify that
 // every orchestrator tick is visible to the coordinator before any
-// shard is allowed to run past it.
+// pair is allowed to run past it.
 func (o *Orchestrator) TickHorizon() (sim.Time, bool) {
 	horizon, armed := sim.MaxTime, false
 	if t, live := o.f.K.EventTime(o.pumpID); live && o.pumpArmed {
